@@ -26,11 +26,16 @@ Measured stages:
 4. *backend matrix* — every available codec backend (``pure``, ``numpy``
    when installed) over the same corpus: whole-buffer field split,
    columnar batch split, bulk parity, batch join, whole-buffer batch CRC
-   (``crc_batch``) and the batched container pipeline
-   (``codec_compress_batch`` / ``codec_decompress_batch``).  Each
-   backend's output is asserted bit-identical to ``pure`` before it is
-   timed, and the numpy-vs-pure batch speedups are guarded by hard floors
-   plus the committed same-backend generations in ``BENCH_hotpath.json``.
+   (``crc_batch``), the batched container pipeline
+   (``codec_compress_batch`` / ``codec_decompress_batch``) and the
+   streaming engine users run (``stream_compress`` / ``stream_decompress``:
+   ``registry.get("gd")`` over 64 KiB blocks, the ``repro compress`` path).
+   Each backend's output is asserted bit-identical to ``pure`` before it
+   is timed, and the numpy-vs-pure batch speedups are guarded by hard
+   floors plus the committed same-backend generations in
+   ``BENCH_hotpath.json``.  The streaming stages are guarded against the
+   in-process container path on the same backend and input, so the CLI
+   path cannot fall off the batched pipeline unnoticed.
 
 ``REPRO_BENCH_BACKENDS`` (comma-separated names) restricts the backend
 matrix — ``repro bench --suite hotpath --backend numpy`` sets it.  The
@@ -42,13 +47,14 @@ guards only ever compare generations recorded for the same backend.
 checks and the regression guards hold in both modes.
 """
 
-import dataclasses
 import json
 import os
 import random
+import struct
 import time
 from pathlib import Path
 
+from repro import registry
 from repro.analysis.reporting import format_table, save_results_json
 from repro.core import backends as codec_backends
 from repro.core.codec import GDCodec
@@ -89,6 +95,16 @@ MIN_NUMPY_BATCH_SPEEDUP = 3.0
 #: baseline (12.3 MB/s → floor 49.2 MB/s; measured ~65 MB/s).
 MIN_NUMPY_COMPRESS_VS_COMMITTED = 4.0
 
+#: Same-run floors for the streaming engine against the in-process
+#: container path on the same backend and input: stream compress over
+#: ``GDCodec.compress`` + ``to_container``, stream decompress over
+#: ``decompress_container``.
+MIN_STREAM_COMPRESS_VS_CODEC = 0.75
+MIN_STREAM_DECOMPRESS_VS_CODEC = 0.4
+
+#: Block size the streaming stages feed (the CLI's file read size).
+STREAM_BLOCK = 64 * 1024
+
 #: Optional comma-separated backend filter (set by ``repro bench --backend``).
 BACKEND_FILTER = os.environ.get("REPRO_BENCH_BACKENDS", "")
 
@@ -103,6 +119,21 @@ def _best_seconds(function, repeats=REPEATS):
         start = time.perf_counter()
         function()
         best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _best_paired_seconds(first, second, repeats=3 * REPEATS):
+    """Best-of-N wall times of two functions, run alternately.
+
+    Alternating keeps both sides of a same-run ratio under the same host
+    load, so a burst of load elsewhere cannot sink one side only.
+    """
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for index, function in enumerate((first, second)):
+            start = time.perf_counter()
+            function()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -283,13 +314,31 @@ def test_hotpath_trajectory():
     pure_crcs = fast_transform.code.crc_engine.compute_batch_pure(
         data, crc_record_bits
     )
-    # Batched container reference: the eager per-record serialisation —
-    # every backend's batch pipeline must produce these exact bytes.
+    # Batched container reference: the per-record serialisation — every
+    # backend's batch pipeline must produce these exact bytes.
     eager_codec = GDCodec(order=8, identifier_bits=15, backend="pure")
     eager_result = eager_codec.compress(data)
-    eager_container = eager_codec.to_container(
-        dataclasses.replace(eager_result, records=tuple(eager_result.records))
+    eager_body = b"".join(
+        bytes([int(record.record_type)]) + record.to_bytes()
+        for record in eager_result.records
     )
+    eager_container = (
+        eager_codec.container_header(record_count=len(eager_result.records))
+        + struct.pack(">Q", total_bytes)
+        + eager_body
+    )
+    # The streamed layout carries the same records (the encoder state runs
+    # across blocks), then the end tag and the original length.
+    eager_stream = (
+        eager_codec.container_header(streamed=True)
+        + eager_body
+        + b"\x00"
+        + struct.pack(">Q", total_bytes)
+    )
+    blocks = [
+        data[offset : offset + STREAM_BLOCK]
+        for offset in range(0, total_bytes, STREAM_BLOCK)
+    ]
     for name in backend_names:
         transform = GDTransform(order=8, backend=name)
         # correctness before timing: every backend must reproduce the
@@ -354,6 +403,45 @@ def test_hotpath_trajectory():
             ).decompress_container(blob)
         )
 
+        # streaming engine (the CLI path) against the in-process container
+        # path on the same backend and input.
+        def container_compress():
+            codec = GDCodec(order=8, identifier_bits=15, backend=name)
+            return codec.to_container(codec.compress(data))
+
+        def stream_compress():
+            compressor = registry.get("gd", backend=name)
+            return b"".join(compressor.compress_stream(blocks))
+
+        streamed = stream_compress()
+        assert streamed == eager_stream, (
+            f"backend {name!r} streamed container diverged from the "
+            "per-record serialisation"
+        )
+        stream_blocks = [
+            streamed[offset : offset + STREAM_BLOCK]
+            for offset in range(0, len(streamed), STREAM_BLOCK)
+        ]
+
+        def stream_decompress():
+            compressor = registry.get("gd", backend=name)
+            return b"".join(compressor.decompress_stream(stream_blocks))
+
+        assert stream_decompress() == data, (
+            f"backend {name!r} streamed round trip failed"
+        )
+        container_compress_seconds, stream_compress_seconds = _best_paired_seconds(
+            container_compress, stream_compress
+        )
+        container_decompress_seconds, stream_decompress_seconds = (
+            _best_paired_seconds(
+                lambda: GDCodec(
+                    order=8, identifier_bits=15, backend=name
+                ).decompress_container(blob),
+                stream_decompress,
+            )
+        )
+
         backend_results[name] = {
             "transform_fields_mbps": total_bytes / fields_seconds / 1e6,
             "transform_batch_mbps": total_bytes / batch_seconds / 1e6,
@@ -363,6 +451,14 @@ def test_hotpath_trajectory():
             "codec_compress_batch_mbps": total_bytes / compress_batch_seconds / 1e6,
             "codec_decompress_batch_mbps": (
                 total_bytes / decompress_batch_seconds / 1e6
+            ),
+            "stream_compress_mbps": total_bytes / stream_compress_seconds / 1e6,
+            "stream_decompress_mbps": total_bytes / stream_decompress_seconds / 1e6,
+            "stream_compress_vs_codec": (
+                container_compress_seconds / stream_compress_seconds
+            ),
+            "stream_decompress_vs_codec": (
+                container_decompress_seconds / stream_decompress_seconds
             ),
         }
     pure_batch_mbps = backend_results["pure"]["transform_batch_mbps"]
@@ -432,6 +528,12 @@ def test_hotpath_trajectory():
                 [f"[{name}] codec decompress batch",
                  f"{metrics['codec_decompress_batch_mbps']:.1f} MB/s",
                  f"{metrics['decompress_batch_speedup_vs_pure']:.1f}x vs pure"],
+                [f"[{name}] stream compress",
+                 f"{metrics['stream_compress_mbps']:.1f} MB/s",
+                 f"{metrics['stream_compress_vs_codec']:.2f}x vs container"],
+                [f"[{name}] stream decompress",
+                 f"{metrics['stream_decompress_mbps']:.1f} MB/s",
+                 f"{metrics['stream_decompress_vs_codec']:.2f}x vs container"],
             ]
         )
     table = format_table(
@@ -451,6 +553,15 @@ def test_hotpath_trajectory():
         f"switch fast path only {switch_speedup:.2f}x over the interpreted "
         f"pipeline (floor {MIN_SWITCH_SPEEDUP}x)"
     )
+    for name, metrics in backend_results.items():
+        for key, floor in (
+            ("stream_compress_vs_codec", MIN_STREAM_COMPRESS_VS_CODEC),
+            ("stream_decompress_vs_codec", MIN_STREAM_DECOMPRESS_VS_CODEC),
+        ):
+            assert metrics[key] >= floor, (
+                f"[{name}] {key.replace('_', ' ')} is {metrics[key]:.2f}x "
+                f"(floor {floor}x): the streaming engine left the batched path"
+            )
     if "numpy" in backend_results:
         numpy_speedup = backend_results["numpy"]["batch_speedup_vs_pure"]
         assert numpy_speedup >= MIN_NUMPY_BATCH_SPEEDUP, (
@@ -487,6 +598,8 @@ def test_hotpath_trajectory():
             ("crc_batch_vs_pure", "crc_batch_speedup_vs_pure"),
             ("compress_batch_vs_pure", "compress_batch_speedup_vs_pure"),
             ("decompress_batch_vs_pure", "decompress_batch_speedup_vs_pure"),
+            ("stream_compress_vs_codec", "stream_compress_vs_codec"),
+            ("stream_decompress_vs_codec", "stream_decompress_vs_codec"),
         ):
             _guard(
                 f"{name} {committed_key.replace('_', ' ')}",

@@ -1001,7 +1001,7 @@ def _profile_hot_paths(
         blob, profile = run_profiled(
             lambda: codec.to_container(codec.compress(data))
         )
-        title = (f"encode-batch: compress + pack_stream container of "
+        title = (f"encode-batch: compress + EncodedBatch.pack container of "
                  f"{len(data):,} bytes -> {len(blob):,} bytes")
         return title, profile
 

@@ -167,14 +167,16 @@ class BatchSplit:
 class CodecBackend:
     """Interface every codec backend implements.
 
-    A backend accelerates the four batch entry points the replay harness,
-    topology engine and CLI funnel through: forward split
-    (:meth:`split_batch_fields` / :meth:`split_batch_columns`), bulk parity
-    recovery (:meth:`parities_of_bases`) and the whole-batch inverse
-    (:meth:`join_batch_to_bytes`).  The ``supports_*`` predicates gate each
-    operation per configuration (order, prefix width); ineligible
-    configurations transparently stay on the pure path, so a backend never
-    has to cover the full parameter space to be useful.
+    A backend accelerates the batch entry points the codec funnels
+    through: forward split (:meth:`split_batch_fields` /
+    :meth:`split_batch_columns`), bulk parity recovery
+    (:meth:`parities_of_bases`), the whole-batch inverse
+    (:meth:`join_batch_to_bytes`) and type-3 record packing
+    (:meth:`pack_type3_rows`, implemented here in pure Python).  The
+    ``supports_*`` predicates gate each operation per configuration
+    (order, prefix width); ineligible configurations transparently stay on
+    the pure path, so a backend never has to cover the full parameter
+    space to be useful.
 
     Equivalence contract: for every configuration a backend claims support
     for, its outputs must be **bit-identical** to the reference path —
@@ -253,6 +255,26 @@ class CodecBackend:
         """CRC of every fixed-size record in ``data`` (see
         :meth:`repro.core.crc.CrcEngine.compute_batch`)."""
         raise NotImplementedError
+
+    def pack_type3_rows(self, fmt, tags, prefixes, keys, deviations) -> bytes:
+        """The tagged wire rows of every type-3 record, in order.
+
+        ``fmt`` is a :class:`repro.core.records.RecordFormat`; the columns
+        are those of :class:`repro.core.records.EncodedBatch`.  Each row
+        is the tag byte 3 plus ``prefix | identifier | deviation`` in
+        ``fmt.type3_size`` big-endian bytes.  This is the pure
+        implementation every backend inherits.
+        """
+        shift = fmt.identifier_bits
+        deviation_bits = fmt.deviation_bits
+        size = fmt.type3_size
+        return b"".join(
+            b"\x03"
+            + ((((prefixes[i] << shift) | keys[i]) << deviation_bits) | deviations[i])
+            .to_bytes(size, "big")
+            for i in range(len(tags))
+            if tags[i] == 3
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -43,6 +43,7 @@ import error preserved, when numpy is missing.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
@@ -50,6 +51,9 @@ from repro.core.crc import lane_tables, reflect_bits
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = ["NumpyBackend"]
+
+#: ``bytes.translate`` table marking type-3 tags (1) among record tags.
+_TYPE3_SELECTOR = bytes(1 if tag == 3 else 0 for tag in range(256))
 
 #: Lazy probe result: ``(module_or_None, detail)``.  Tests monkeypatch this
 #: to simulate a numpy-less interpreter without uninstalling anything.
@@ -487,6 +491,35 @@ class NumpyBackend(CodecBackend):
             len(bases), parity_bytes
         )
         return _fold_rows(np, rows, state.fold).tobytes()
+
+    def pack_type3_rows(self, fmt, tags, prefixes, keys, deviations) -> bytes:
+        """All type-3 rows as one ``(count, 1 + size)`` byte matrix.
+
+        Payloads wider than a ``uint64`` take the inherited pure loop.
+        """
+        size = fmt.type3_size
+        if size > 8:
+            return super().pack_type3_rows(fmt, tags, prefixes, keys, deviations)
+        np = _numpy()[0]
+        indices = np.flatnonzero(np.frombuffer(tags, dtype=np.uint8) == 3)
+        count = len(indices)
+        deviation_bits = np.uint64(fmt.deviation_bits)
+        identifiers = np.fromiter(
+            compress(keys, tags.translate(_TYPE3_SELECTOR)), dtype=np.uint64, count=count
+        )
+        values = identifiers << deviation_bits
+        if fmt.prefix_bits:
+            values |= np.asarray(prefixes, dtype=np.uint64)[indices] << (
+                deviation_bits + np.uint64(fmt.identifier_bits)
+            )
+        values |= np.asarray(deviations, dtype=np.uint64)[indices]
+        matrix = np.empty((count, 1 + size), dtype=np.uint8)
+        matrix[:, 0] = 3
+        for column in range(size):
+            matrix[:, 1 + column] = (
+                values >> np.uint64(8 * (size - 1 - column))
+            ).astype(np.uint8)
+        return matrix.tobytes()
 
     def join_batch_to_bytes(
         self,

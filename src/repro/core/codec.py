@@ -24,18 +24,12 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from repro import obs as _obs
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.decoder import GDDecoder
-from repro.core.encoder import EncodedBatch, EncoderMode, GDEncoder
-from repro.core.records import (
-    CompressedRecord,
-    GDRecord,
-    RecordType,
-    UncompressedRecord,
-)
+from repro.core.encoder import EncoderMode, GDEncoder
+from repro.core.records import EncodedBatch, GDRecord, parse_records
 from repro.core.transform import GDTransform
 from repro.exceptions import ChunkSizeError, CodingError
 
@@ -70,7 +64,8 @@ class CompressionResult:
     Attributes
     ----------
     records:
-        The emitted GD records in order.
+        The emitted GD records in order, as a columnar
+        :class:`~repro.core.records.EncodedBatch`.
     original_bytes:
         Size of the input.
     payload_bytes:
@@ -81,7 +76,7 @@ class CompressionResult:
         (includes the header and the per-record type tags).
     """
 
-    records: Tuple[GDRecord, ...]
+    records: EncodedBatch
     original_bytes: int
     payload_bytes: int
     container_bytes: int
@@ -105,10 +100,7 @@ class CompressionResult:
         """Fraction of records that were emitted as compressed (type 3)."""
         if not self.records:
             return 0.0
-        compressed = sum(
-            1 for record in self.records if record.record_type is RecordType.COMPRESSED
-        )
-        return compressed / len(self.records)
+        return self.records.tags.count(3) / len(self.records)
 
 
 class GDCodec:
@@ -272,18 +264,9 @@ class GDCodec:
     # -- compression -------------------------------------------------------------
 
     def compress(self, data: bytes, pad: bool = False) -> CompressionResult:
-        """Compress a byte string into GD records.
-
-        The records come back as a lazily materialised
-        :class:`~repro.core.encoder.EncodedBatch` when possible (tracing
-        forces the eager per-record path); both shapes compare equal and
-        serialise identically.
-        """
+        """Compress a byte string into GD records (an :class:`EncodedBatch`)."""
         padded_bits_before = self._encoder.stats.output_padded_bits
-        buffer = self._padded(data, pad)
-        records = self._encoder.encode_buffer_batch(buffer)
-        if records is None:
-            records = tuple(self._encoder.encode_buffer(buffer))
+        records = self._encoder.encode(self._padded(data, pad))
         # Padded record payloads are byte aligned, so the wire volume is the
         # encoder's padded-bit delta — no per-record property walk needed.
         payload_bytes = (
@@ -303,7 +286,7 @@ class GDCodec:
         self, records: Iterable[GDRecord], original_bytes: Optional[int] = None
     ) -> bytes:
         """Decode records back into the original byte string."""
-        data = self._decoder.decode_to_bytes(records)
+        data = self._decoder.decode(records)
         if original_bytes is not None:
             data = data[:original_bytes]
         return data
@@ -324,20 +307,11 @@ class GDCodec:
 
     def to_container(self, result: CompressionResult) -> bytes:
         """Serialise a compression result into the ``GDZ1`` container format."""
-        header = self.container_header(record_count=len(result.records))
-        records = result.records
-        if isinstance(records, EncodedBatch):
-            # Columnar batch: the body is packed straight from the field
-            # columns (vectorized when numpy is present), byte-identical to
-            # the per-record loop below.
-            return (
-                header + struct.pack(">Q", result.original_bytes) + records.pack_stream()
-            )
-        parts: List[bytes] = [header, struct.pack(">Q", result.original_bytes)]
-        for record in records:
-            parts.append(bytes([int(record.record_type)]))
-            parts.append(record.to_bytes())
-        return b"".join(parts)
+        return (
+            self.container_header(record_count=len(result.records))
+            + struct.pack(">Q", result.original_bytes)
+            + result.records.pack()
+        )
 
     def clone(self) -> "GDCodec":
         """A new codec with the same parameters and empty dictionaries."""
@@ -415,161 +389,19 @@ class GDCodec:
                 f"container alignment padding {padding} does not match "
                 f"codec padding {self._alignment_padding_bits}"
             )
-        offset = _HEADER.size
-        (original_bytes,) = struct.unpack_from(">Q", blob, offset)
-        offset += 8
+        (original_bytes,) = struct.unpack_from(">Q", blob, _HEADER.size)
+        tags, prefixes, keys, deviations, _ = parse_records(
+            blob, _HEADER.size + 8, len(blob), self._encoder.record_format, limit=count
+        )
+        if len(tags) < count:
+            raise CodingError(
+                f"container truncated: {len(tags)} of {count} records present"
+            )
         # Containers are self-contained: decode with a fresh dictionary so
         # that identifiers resolve exactly as the producing encoder assigned
         # them, independent of anything this codec decoded before.
-        fresh = self.clone()
-        if count and not _obs.TRACER.enabled:
-            # Columnar fast path: unpack the tagged records straight into
-            # field columns and decode without materialising record
-            # objects.  Tracing needs the per-record path for its events.
-            return fresh._decompress_container_columns(
-                blob, offset, count, original_bytes
-            )
-        records: List[GDRecord] = []
-        for _ in range(count):
-            record, offset = self.parse_record(blob, offset)
-            records.append(record)
-        return fresh.decompress_records(records, original_bytes=original_bytes)
-
-    def _decompress_container_columns(
-        self, blob: bytes, offset: int, count: int, original_bytes: int
-    ) -> bytes:
-        """Container body → field columns → bytes, skipping record objects.
-
-        Parses exactly like repeated :meth:`parse_record` calls (including
-        every truncation error) but keeps the fields columnar, then hands
-        them to :meth:`GDDecoder.decode_columns_to_bytes` for the batched
-        resolve + vectorized join.
-        """
-        transform = self._transform
-        deviation_bits = transform.deviation_bits
-        deviation_mask = (1 << deviation_bits) - 1
-        basis_bits = transform.basis_bits
-        basis_mask = (1 << basis_bits) - 1
-        identifier_bits = self._identifier_bits
-        identifier_mask = (1 << identifier_bits) - 1
-        prefix_bits = transform.prefix_bits
-        prefix_mask = (1 << prefix_bits) - 1
-        size2 = self.record_wire_size(int(RecordType.UNCOMPRESSED))
-        size3 = self.record_wire_size(int(RecordType.COMPRESSED))
-        total = len(blob)
-        from_bytes = int.from_bytes
-        tags = bytearray(count)
-        prefixes = [0] * count
-        keys = [0] * count
-        deviations = [0] * count
-        for index in range(count):
-            if offset >= total:
-                raise CodingError("container truncated: missing record tag")
-            tag = blob[offset]
-            offset += 1
-            if tag == 3:
-                payload = blob[offset : offset + size3]
-                if len(payload) != size3:
-                    raise CodingError("container truncated: short type-3 record")
-                value = from_bytes(payload, "big")
-                deviations[index] = value & deviation_mask
-                value >>= deviation_bits
-                keys[index] = value & identifier_mask
-                if prefix_bits:
-                    prefixes[index] = (value >> identifier_bits) & prefix_mask
-                tags[index] = 3
-                offset += size3
-            elif tag == 2:
-                payload = blob[offset : offset + size2]
-                if len(payload) != size2:
-                    raise CodingError("container truncated: short type-2 record")
-                value = from_bytes(payload, "big")
-                deviations[index] = value & deviation_mask
-                value >>= deviation_bits
-                keys[index] = value & basis_mask
-                if prefix_bits:
-                    prefixes[index] = (value >> basis_bits) & prefix_mask
-                tags[index] = 2
-                offset += size2
-            else:
-                raise CodingError(f"unknown record tag {tag} at offset {offset - 1}")
-        data = self._decoder.decode_columns_to_bytes(tags, prefixes, keys, deviations)
+        data = self.clone().decoder.decode_columns(tags, prefixes, keys, deviations)
         return data[:original_bytes]
-
-    def parse_record(self, blob: bytes, offset: int) -> Tuple[GDRecord, int]:
-        """Parse one tagged record from a container blob.
-
-        Returns ``(record, next_offset)``; raises :class:`CodingError` when
-        the blob is truncated.  The streaming container reader in
-        :mod:`repro.core.engine` uses this with its own buffering, checking
-        :meth:`record_wire_size` first so a short buffer means "wait for
-        more bytes" rather than an error.
-        """
-        if offset >= len(blob):
-            raise CodingError("container truncated: missing record tag")
-        tag = blob[offset]
-        offset += 1
-        transform = self._transform
-        if tag == int(RecordType.UNCOMPRESSED):
-            size = self.record_wire_size(tag)
-            payload = blob[offset : offset + size]
-            if len(payload) != size:
-                raise CodingError("container truncated: short type-2 record")
-            value = int.from_bytes(payload, "big")
-            deviation = value & ((1 << transform.deviation_bits) - 1)
-            value >>= transform.deviation_bits
-            basis = value & ((1 << transform.basis_bits) - 1)
-            value >>= transform.basis_bits
-            prefix = value & ((1 << transform.prefix_bits) - 1) if transform.prefix_bits else 0
-            record: GDRecord = UncompressedRecord(
-                prefix=prefix,
-                basis=basis,
-                deviation=deviation,
-                prefix_bits=transform.prefix_bits,
-                basis_bits=transform.basis_bits,
-                deviation_bits=transform.deviation_bits,
-                alignment_padding_bits=self._encoder.alignment_padding_bits,
-            )
-            return record, offset + size
-        if tag == int(RecordType.COMPRESSED):
-            size = self.record_wire_size(tag)
-            payload = blob[offset : offset + size]
-            if len(payload) != size:
-                raise CodingError("container truncated: short type-3 record")
-            value = int.from_bytes(payload, "big")
-            deviation = value & ((1 << transform.deviation_bits) - 1)
-            value >>= transform.deviation_bits
-            identifier = value & ((1 << self._identifier_bits) - 1)
-            value >>= self._identifier_bits
-            prefix = value & ((1 << transform.prefix_bits) - 1) if transform.prefix_bits else 0
-            record = CompressedRecord(
-                prefix=prefix,
-                identifier=identifier,
-                deviation=deviation,
-                prefix_bits=transform.prefix_bits,
-                identifier_bits=self._identifier_bits,
-                deviation_bits=transform.deviation_bits,
-            )
-            return record, offset + size
-        raise CodingError(f"unknown record tag {tag} at offset {offset - 1}")
-
-    def record_wire_size(self, tag: int) -> int:
-        """Payload bytes that follow a record tag in the container encoding."""
-        transform = self._transform
-        if tag == int(RecordType.UNCOMPRESSED):
-            total_bits = (
-                transform.prefix_bits
-                + transform.basis_bits
-                + transform.deviation_bits
-                + self._encoder.alignment_padding_bits
-            )
-        elif tag == int(RecordType.COMPRESSED):
-            total_bits = (
-                transform.prefix_bits + self._identifier_bits + transform.deviation_bits
-            )
-        else:
-            raise CodingError(f"unknown record tag {tag}")
-        return (total_bits + 7) // 8
 
     def roundtrip(self, data: bytes, pad: bool = True) -> bytes:
         """Compress then decompress ``data`` (used heavily by tests)."""

@@ -32,6 +32,7 @@ __all__ = [
     "BasisDictionary",
     "encode_snapshot_key",
     "decode_snapshot_key",
+    "dictionary_activity",
 ]
 
 #: Sentinel marking an empty hot-entry cache (``None`` is a legal key).
@@ -120,6 +121,16 @@ class DictionaryStats:
             "rejected_insertions": self.rejected_insertions,
             "hit_ratio": self.hit_ratio,
         }
+
+
+def dictionary_activity(dictionary: Optional["BasisDictionary"]) -> Tuple[int, int, int]:
+    """``(lookup hits, insertions, evictions)`` counted so far (zeros for
+    ``None``); the codec's batch traces report the difference across a
+    batch."""
+    if dictionary is None:
+        return 0, 0, 0
+    stats = dictionary.stats
+    return stats.hits, stats.insertions, stats.evictions
 
 
 class BasisDictionary:

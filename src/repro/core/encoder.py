@@ -17,20 +17,19 @@ paper's three measured configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs as _obs
-from repro.core.bits import align_up, int_to_bytes
 from repro.core.dictionary import (
     BasisDictionary,
-    EvictionPolicy,
     decode_snapshot_key,
+    dictionary_activity,
     encode_snapshot_key,
 )
-from repro.core.records import CompressedRecord, GDRecord, RecordType, UncompressedRecord
-from repro.core.transform import ChunkLike, GDFields, GDTransform
+from repro.core.records import EncodedBatch, GDRecord, RecordFormat
+from repro.core.transform import ChunkLike, GDTransform
 from repro.exceptions import CodingError, DictionaryError
 
 __all__ = ["EncodedBatch", "EncoderMode", "EncoderStats", "GDEncoder"]
@@ -74,17 +73,6 @@ class EncoderStats:
     output_bits: int = 0
     output_padded_bits: int = 0
 
-    def record(self, record: GDRecord, input_bits: int) -> None:
-        """Account for one emitted record."""
-        self.chunks += 1
-        self.input_bits += input_bits
-        self.output_bits += record.payload_bits
-        self.output_padded_bits += record.padded_bits
-        if record.record_type is RecordType.COMPRESSED:
-            self.compressed_records += 1
-        else:
-            self.uncompressed_records += 1
-
     @property
     def compression_ratio(self) -> float:
         """Padded output size over input size (Figure 3's numeric labels)."""
@@ -121,213 +109,6 @@ class EncoderStats:
             "compression_ratio": self.compression_ratio,
             "unpadded_ratio": self.unpadded_ratio,
         }
-
-
-class EncodedBatch:
-    """Columnar result of :meth:`GDEncoder.encode_buffer_batch`.
-
-    Holds one type tag per chunk plus the field columns, and behaves like
-    the record tuple the eager encoder would have produced: length,
-    iteration, indexing and equality all go through :meth:`materialize`,
-    which builds the exact :class:`CompressedRecord` /
-    :class:`UncompressedRecord` objects on first use.  The hot consumers
-    never materialise — :meth:`pack_stream` serialises the container body
-    straight from the columns (vectorized over the type-3 runs when numpy
-    is available), which is where the batched codec pipeline gets its
-    throughput.
-    """
-
-    __slots__ = (
-        "_tags",
-        "_identifiers",
-        "_prefixes",
-        "_bases",
-        "_deviations",
-        "_prefix_bits",
-        "_basis_bits",
-        "_deviation_bits",
-        "_identifier_bits",
-        "_padding",
-        "_t2_padded",
-        "_t3_padded",
-        "_records",
-    )
-
-    def __init__(
-        self,
-        tags: bytes,
-        identifiers: List[int],
-        prefixes: List[int],
-        bases: List[int],
-        deviations: List[int],
-        prefix_bits: int,
-        basis_bits: int,
-        deviation_bits: int,
-        identifier_bits: int,
-        padding: int,
-        t2_padded: int,
-        t3_padded: int,
-    ):
-        self._tags = tags
-        self._identifiers = identifiers
-        self._prefixes = prefixes
-        self._bases = bases
-        self._deviations = deviations
-        self._prefix_bits = prefix_bits
-        self._basis_bits = basis_bits
-        self._deviation_bits = deviation_bits
-        self._identifier_bits = identifier_bits
-        self._padding = padding
-        self._t2_padded = t2_padded
-        self._t3_padded = t3_padded
-        self._records: Optional[Tuple[GDRecord, ...]] = None
-
-    def __len__(self) -> int:
-        return len(self._tags)
-
-    def __iter__(self) -> Iterator[GDRecord]:
-        return iter(self.materialize())
-
-    def __getitem__(self, index):
-        return self.materialize()[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EncodedBatch):
-            other = other.materialize()
-        if isinstance(other, (tuple, list)):
-            return self.materialize() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.materialize())
-
-    def __repr__(self) -> str:
-        return f"EncodedBatch({len(self._tags)} records)"
-
-    def materialize(self) -> Tuple[GDRecord, ...]:
-        """The classic record tuple, built once and cached."""
-        records = self._records
-        if records is None:
-            prefixes = self._prefixes
-            deviations = self._deviations
-            bases = self._bases
-            prefix_bits = self._prefix_bits
-            basis_bits = self._basis_bits
-            deviation_bits = self._deviation_bits
-            identifier_bits = self._identifier_bits
-            padding = self._padding
-            next_identifier = iter(self._identifiers).__next__
-            out: List[GDRecord] = []
-            append = out.append
-            for position, tag in enumerate(self._tags):
-                if tag == 3:
-                    append(
-                        CompressedRecord(
-                            prefix=prefixes[position],
-                            identifier=next_identifier(),
-                            deviation=deviations[position],
-                            prefix_bits=prefix_bits,
-                            identifier_bits=identifier_bits,
-                            deviation_bits=deviation_bits,
-                            alignment_padding_bits=0,
-                        )
-                    )
-                else:
-                    append(
-                        UncompressedRecord(
-                            prefix=prefixes[position],
-                            basis=bases[position],
-                            deviation=deviations[position],
-                            prefix_bits=prefix_bits,
-                            basis_bits=basis_bits,
-                            deviation_bits=deviation_bits,
-                            alignment_padding_bits=padding,
-                        )
-                    )
-            records = self._records = tuple(out)
-        return records
-
-    def pack_stream(self) -> bytes:
-        """The container body: one tag byte plus the payload per record.
-
-        Byte-identical to concatenating ``bytes([tag]) + record.to_bytes()``
-        over :meth:`materialize`, but built from the columns.  When numpy
-        is available and the type-3 payload fits a ``uint64``, all type-3
-        rows are packed as one ``(count, 1 + size)`` byte matrix and the
-        (rare) type-2 records are spliced between the runs.
-        """
-        tags = self._tags
-        count = len(tags)
-        if count == 0:
-            return b""
-        identifier_bits = self._identifier_bits
-        basis_bits = self._basis_bits
-        deviation_bits = self._deviation_bits
-        prefixes = self._prefixes
-        bases = self._bases
-        deviations = self._deviations
-        t2_padded = self._t2_padded
-        t3_padded = self._t3_padded
-        t3_size = t3_padded // 8
-        np = None
-        if self._identifiers and t3_size <= 8:
-            from repro.core.backends.numpy_backend import _numpy
-
-            np = _numpy()[0]
-        if np is None:
-            next_identifier = iter(self._identifiers).__next__
-            parts: List[bytes] = []
-            append = parts.append
-            for position in range(count):
-                if tags[position] == 3:
-                    value = (
-                        ((prefixes[position] << identifier_bits) | next_identifier())
-                        << deviation_bits
-                    ) | deviations[position]
-                    append(b"\x03" + int_to_bytes(value, t3_padded))
-                else:
-                    value = (
-                        ((prefixes[position] << basis_bits) | bases[position])
-                        << deviation_bits
-                    ) | deviations[position]
-                    append(b"\x02" + int_to_bytes(value, t2_padded))
-            return b"".join(parts)
-        tags_np = np.frombuffer(tags, dtype=np.uint8)
-        indices = np.flatnonzero(tags_np == 3)
-        values = np.asarray(self._identifiers, dtype=np.uint64) << np.uint64(
-            deviation_bits
-        )
-        if self._prefix_bits:
-            values = values | (
-                np.asarray(prefixes, dtype=np.uint64)[indices]
-                << np.uint64(deviation_bits + identifier_bits)
-            )
-        values = values | np.asarray(deviations, dtype=np.uint64)[indices]
-        row = 1 + t3_size
-        matrix = np.empty((len(indices), row), dtype=np.uint8)
-        matrix[:, 0] = 3
-        for column in range(t3_size):
-            matrix[:, 1 + column] = (
-                values >> np.uint64(8 * (t3_size - 1 - column))
-            ).astype(np.uint8)
-        block = matrix.tobytes()
-        if len(indices) == count:
-            return block
-        parts = []
-        append = parts.append
-        consumed = 0
-        for rank, position in enumerate(np.flatnonzero(tags_np == 2).tolist()):
-            preceding = position - rank  # type-3 rows before this type-2
-            if preceding > consumed:
-                append(block[consumed * row : preceding * row])
-            value = (
-                ((prefixes[position] << basis_bits) | bases[position])
-                << deviation_bits
-            ) | deviations[position]
-            append(b"\x02" + int_to_bytes(value, t2_padded))
-            consumed = preceding
-        append(block[consumed * row :])
-        return b"".join(parts)
 
 
 class GDEncoder:
@@ -389,14 +170,13 @@ class GDEncoder:
         self._learning_delay_chunks = learning_delay_chunks
         # (prefix, basis) -> chunk index at which the mapping becomes usable.
         self._pending_activation: Dict[object, int] = {}
-        # Per-type payload sizes are constants of the configuration; the
-        # batch loop accumulates them instead of asking every record.
-        t2_bits = transform.prefix_bits + transform.basis_bits + transform.deviation_bits
-        self._t2_bits = t2_bits
-        self._t2_padded = align_up(t2_bits + alignment_padding_bits, 8)
-        t3_bits = transform.prefix_bits + identifier_bits + transform.deviation_bits
-        self._t3_bits = t3_bits
-        self._t3_padded = align_up(t3_bits, 8)
+        self._format = RecordFormat(
+            prefix_bits=transform.prefix_bits,
+            basis_bits=transform.basis_bits,
+            deviation_bits=transform.deviation_bits,
+            identifier_bits=identifier_bits,
+            padding_bits=alignment_padding_bits,
+        )
         self.stats = EncoderStats()
 
     # -- accessors ---------------------------------------------------------
@@ -426,73 +206,29 @@ class GDEncoder:
         """Padding added to type-2 payloads for container alignment."""
         return self._alignment_padding_bits
 
+    @property
+    def record_format(self) -> RecordFormat:
+        """Field widths of the records this encoder emits."""
+        return self._format
+
     # -- encoding ---------------------------------------------------------------
 
     def encode_chunk(self, chunk: ChunkLike) -> GDRecord:
         """Encode one chunk into a type-2 or type-3 record."""
-        return self._encode_fields([self._transform.split_fields(chunk)])[0]
+        return self.encode(self._transform.chunk_to_bytes(chunk))[0]
 
-    def encode_stream(self, chunks: Iterable[ChunkLike]) -> Iterator[GDRecord]:
-        """Lazily encode an iterable of chunks."""
-        for chunk in chunks:
-            yield self.encode_chunk(chunk)
-
-    def encode_all(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
-        """Eagerly encode an iterable of chunks into a list of records."""
-        return self.encode_batch(chunks)
-
-    def encode_batch(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
-        """Encode many chunks with the per-chunk accounting amortized.
-
-        Produces exactly the records (and final statistics) of repeated
-        :meth:`encode_chunk` calls, but updates :attr:`stats` once at the
-        end instead of six counter writes per chunk.
-        """
-        return self._encode_fields(map(self._transform.split_fields, chunks))
-
-    def encode_buffer(self, data: "bytes | bytearray | memoryview") -> List[GDRecord]:
-        """Encode a contiguous buffer of whole chunks (the fastest path).
-
-        Combines :meth:`GDTransform.split_batch_fields` with the amortized
-        record loop; this is what :meth:`GDCodec.compress` feeds whole
-        payloads through.
-        """
-        return self._encode_fields(self._transform.split_batch_fields(data))
-
-    def encode_chunks(
-        self, chunks: "bytes | bytearray | memoryview | Iterable[ChunkLike]"
-    ) -> List[GDRecord]:
-        """Batch entry point for either framing of *many chunks*.
-
-        A contiguous bytes-like buffer takes the fused zero-copy batch path
-        (identical to :meth:`encode_buffer`); any other iterable is encoded
-        chunk by chunk through the same amortized record loop.  Streaming
-        codecs and the replay tooling call this instead of dispatching one
-        chunk at a time.
-        """
-        if isinstance(chunks, (bytes, bytearray, memoryview)):
-            return self._encode_fields(self._transform.split_batch_fields(chunks))
-        return self.encode_batch(chunks)
-
-    def encode_buffer_batch(
-        self, data: "bytes | bytearray | memoryview"
-    ) -> Optional[EncodedBatch]:
+    def encode(self, data: "bytes | bytearray | memoryview") -> EncodedBatch:
         """Encode a buffer of whole chunks into a columnar batch.
 
-        Runs the same dictionary loop as :meth:`encode_buffer` — identical
-        hit/miss decisions, learning-delay handling and statistics — but
-        over the backend's column output, skipping per-chunk record
-        construction entirely.  The returned :class:`EncodedBatch` compares
-        (and materialises) equal to :meth:`encode_buffer`'s record list.
-
-        Returns ``None`` when lifecycle tracing is active: the per-record
-        trace events require the eager loop, so callers fall back to it.
+        The one dictionary loop: the transform's backend splits the whole
+        buffer into columns, then every basis is looked up (and, in
+        dynamic mode, learned) in order.  A hit whose mapping is still
+        inside its learning delay is emitted as type 2.  :attr:`stats`
+        is updated once per batch, and a tracer sees one ``gd.encode``
+        instant per batch.
         """
-        if _obs.TRACER.enabled:
-            return None
         transform = self._transform
-        split = transform.split_batch_columns(data)
-        prefixes, bases, deviations = split.columns()
+        prefixes, bases, deviations = transform.split_batch_columns(data).columns()
         stats = self.stats
         dictionary = self._dictionary
         no_table = self._mode is EncoderMode.NO_TABLE or dictionary is None
@@ -502,166 +238,63 @@ class GDEncoder:
         learning_delay = self._learning_delay_chunks
         pending = self._pending_activation
         is_active = self._is_active
+        before = dictionary_activity(dictionary)
 
-        count = split.count
-        tags = bytearray(count)
-        identifiers: List[int] = []
-        append_identifier = identifiers.append
-        index = stats.chunks
+        count = len(bases)
+        tags = bytearray(b"\x02") * count
+        keys: List[int] = []
+        append_key = keys.append
+        first = stats.chunks  # stream index of this batch's first chunk
         compressed = 0
-        position = 0
-        for basis in bases:
+        for position, basis in enumerate(bases):
             identifier = None if no_table else lookup(basis)
-            if identifier is not None and (not pending or is_active(basis, index)):
+            if identifier is not None and (
+                not pending or is_active(basis, first + position)
+            ):
                 tags[position] = 3
-                append_identifier(identifier)
+                append_key(identifier)
                 compressed += 1
             else:
                 if identifier is None and dynamic:
                     insert(basis)
                     if learning_delay:
-                        pending[basis] = index + 1 + learning_delay
-                tags[position] = 2
-            index += 1
-            position += 1
+                        # The mapping becomes usable after the current
+                        # chunk plus the configured number of delayed chunks.
+                        pending[basis] = first + position + 1 + learning_delay
+                append_key(basis)
         uncompressed = count - compressed
-        stats.chunks = index
+        fmt = self._format
+        stats.chunks = first + count
         stats.input_bits += count * transform.chunk_bits
-        stats.output_bits += compressed * self._t3_bits + uncompressed * self._t2_bits
-        stats.output_padded_bits += (
-            compressed * self._t3_padded + uncompressed * self._t2_padded
+        stats.output_bits += compressed * fmt.type3_bits + uncompressed * fmt.type2_bits
+        stats.output_padded_bits += 8 * (
+            compressed * fmt.type3_size + uncompressed * fmt.type2_size
         )
         stats.compressed_records += compressed
         stats.uncompressed_records += uncompressed
-        return EncodedBatch(
-            bytes(tags),
-            identifiers,
-            prefixes,
-            bases,
-            deviations,
-            prefix_bits=transform.prefix_bits,
-            basis_bits=transform.basis_bits,
-            deviation_bits=transform.deviation_bits,
-            identifier_bits=self._identifier_bits,
-            padding=self._alignment_padding_bits,
-            t2_padded=self._t2_padded,
-            t3_padded=self._t3_padded,
-        )
-
-    # -- internals -----------------------------------------------------------------
-
-    def _encode_fields(self, fields_iterable: Iterable[GDFields]) -> List[GDRecord]:
-        """Record-building loop shared by the batch entry points.
-
-        Operates on plain ``(prefix, basis, deviation)`` triples, with the
-        dictionary probe, mode dispatch and per-type payload sizes bound
-        into locals — one pass, no intermediate part objects.
-        """
-        stats = self.stats
-        transform = self._transform
-        prefix_bits = transform.prefix_bits
-        basis_bits = transform.basis_bits
-        deviation_bits = transform.deviation_bits
-        identifier_bits = self._identifier_bits
-        padding = self._alignment_padding_bits
-        t2_bits = self._t2_bits
-        t2_padded = self._t2_padded
-        t3_bits = self._t3_bits
-        t3_padded = self._t3_padded
-        dictionary = self._dictionary
-        no_table = self._mode is EncoderMode.NO_TABLE or dictionary is None
-        dynamic = self._mode is EncoderMode.DYNAMIC
-        lookup = None if no_table else dictionary.lookup
-        insert = None if no_table else dictionary.insert
-        learning_delay = self._learning_delay_chunks
-        pending = self._pending_activation
-        is_active = self._is_active
-        # Tracing guard hoisted out of the loop: when disabled this costs
-        # one attribute lookup per *batch*, not per chunk.
         tracer = _obs.TRACER
-        traced = tracer.enabled
-
-        index = stats.chunks
-        compressed = 0
-        output_bits = 0
-        output_padded_bits = 0
-        records: List[GDRecord] = []
-        append = records.append
-        for prefix, basis, deviation in fields_iterable:
-            identifier = None if no_table else lookup(basis)
-            if identifier is not None and (not pending or is_active(basis, index)):
-                append(
-                    CompressedRecord(
-                        prefix=prefix,
-                        identifier=identifier,
-                        deviation=deviation,
-                        prefix_bits=prefix_bits,
-                        identifier_bits=identifier_bits,
-                        deviation_bits=deviation_bits,
-                        alignment_padding_bits=0,
-                    )
-                )
-                compressed += 1
-                output_bits += t3_bits
-                output_padded_bits += t3_padded
-                if traced:
-                    tracer.instant(
-                        "gd.encode",
-                        "gd-encoder",
-                        args={
-                            "outcome": "hit",
-                            "identifier": identifier,
-                            "chunk_index": index,
-                        },
-                    )
-            else:
-                if identifier is None and dynamic:
-                    learned_id, evicted = insert(basis)
-                    if learning_delay:
-                        # ``index`` counts the chunks *before* this one; the
-                        # mapping becomes usable after the current chunk plus
-                        # the configured number of delayed chunks.
-                        pending[basis] = index + 1 + learning_delay
-                    if traced:
-                        miss_args = {
-                            "outcome": "miss",
-                            "learned_identifier": learned_id,
-                            "chunk_index": index,
-                        }
-                        if evicted is not None:
-                            miss_args["evicted_basis"] = evicted
-                        tracer.instant("gd.encode", "gd-encoder", args=miss_args)
-                elif traced:
-                    tracer.instant(
-                        "gd.encode",
-                        "gd-encoder",
-                        args={
-                            "outcome": "pending" if identifier is not None else "miss",
-                            "chunk_index": index,
-                        },
-                    )
-                append(
-                    UncompressedRecord(
-                        prefix=prefix,
-                        basis=basis,
-                        deviation=deviation,
-                        prefix_bits=prefix_bits,
-                        basis_bits=basis_bits,
-                        deviation_bits=deviation_bits,
-                        alignment_padding_bits=padding,
-                    )
-                )
-                output_bits += t2_bits
-                output_padded_bits += t2_padded
-            index += 1
-        count = index - stats.chunks
-        stats.chunks = index
-        stats.input_bits += count * transform.chunk_bits
-        stats.output_bits += output_bits
-        stats.output_padded_bits += output_padded_bits
-        stats.compressed_records += compressed
-        stats.uncompressed_records += count - compressed
-        return records
+        if tracer.enabled:
+            # ``found``: lookups that found a mapping, active or pending.
+            found, inserted, evicted = (
+                after - start
+                for after, start in zip(dictionary_activity(dictionary), before)
+            )
+            tracer.instant(
+                "gd.encode",
+                "gd-encoder",
+                args={
+                    "chunks": count,
+                    "hits": compressed,
+                    "misses": count - found,
+                    "pending": found - compressed,
+                    "inserted": inserted,
+                    "evicted": evicted,
+                    "backend": transform.backend,
+                },
+            )
+        return EncodedBatch(
+            bytes(tags), prefixes, keys, deviations, fmt, transform.backend_impl
+        )
 
     def _is_active(self, key: object, chunk_index: int) -> bool:
         """True when a learned mapping has passed its activation delay."""

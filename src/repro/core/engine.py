@@ -35,7 +35,6 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
-    List,
     Optional,
     Protocol,
     Tuple,
@@ -45,7 +44,7 @@ from typing import (
 from repro.core.codec import CONTAINER_HEADER, CONTAINER_MAGIC, FLAG_STREAMED, GDCodec
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.encoder import EncoderMode
-from repro.core.records import GDRecord
+from repro.core.records import parse_records
 from repro.exceptions import CodingError, ReproError
 
 __all__ = [
@@ -277,16 +276,10 @@ class GDStreamCompressor:
         """A fresh codec configured with this compressor's parameters."""
         return GDCodec(**self._codec_kwargs)
 
-    @staticmethod
-    def _serialise(records: List[GDRecord]) -> bytes:
-        return b"".join(
-            bytes([int(record.record_type)]) + record.to_bytes() for record in records
-        )
-
     def compress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
         """Re-chunk, GD-encode and frame a block stream incrementally."""
         codec = self.codec()
-        encoder = codec.encoder
+        encode = codec.encoder.encode
         chunk_size = codec.chunk_bytes
         yield codec.container_header(streamed=True)
         pending = bytearray()
@@ -298,12 +291,12 @@ class GDStreamCompressor:
             pending += block
             usable = len(pending) - len(pending) % chunk_size
             if usable:
-                records = encoder.encode_chunks(bytes(pending[:usable]))
+                batch = encode(bytes(pending[:usable]))
                 del pending[:usable]
-                yield self._serialise(records)
+                yield batch.pack()
         if pending:
             pending += b"\x00" * (chunk_size - len(pending))
-            yield self._serialise(encoder.encode_chunks(bytes(pending)))
+            yield encode(bytes(pending)).pack()
         yield bytes([_END_TAG]) + struct.pack(">Q", total)
 
     def decompress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
@@ -321,7 +314,6 @@ class GDStreamCompressor:
         """
         buffer = _IncrementalBuffer()
         codec: Optional[GDCodec] = None
-        decoder = None
         chunk_size = 0
         streamed = False
         remaining: Optional[int] = None  # legacy layout: records still expected
@@ -332,7 +324,7 @@ class GDStreamCompressor:
 
         def drain() -> Iterator[bytes]:
             """Parse and decode everything currently complete in the buffer."""
-            nonlocal codec, decoder, chunk_size
+            nonlocal codec, chunk_size
             nonlocal streamed, remaining, original_bytes, finished, holdback, emitted
             while True:
                 if finished:
@@ -357,7 +349,6 @@ class GDStreamCompressor:
                         alignment_padding_bits=padding,
                     )
                     codec = GDCodec(**kwargs)
-                    decoder = codec.decoder
                     chunk_size = codec.chunk_bytes
                     streamed = bool(flags & FLAG_STREAMED)
                     remaining = None if streamed else count
@@ -376,11 +367,20 @@ class GDStreamCompressor:
                 if remaining == 0:
                     finished = True
                     continue
-                if buffer.available < 1:
-                    break
-                tag = buffer.data[buffer.position]
-                if streamed and tag == _END_TAG:
-                    if buffer.available < 9:
+                tags, prefixes, keys, deviations, position = parse_records(
+                    buffer.data,
+                    buffer.position,
+                    len(buffer.data),
+                    codec.encoder.record_format,
+                    remaining,
+                )
+                if not tags:
+                    # Nothing complete: the streamed end tag, or wait for bytes.
+                    if not (
+                        streamed
+                        and buffer.available >= 9
+                        and buffer.data[buffer.position] == _END_TAG
+                    ):
                         break
                     (original_bytes,) = struct.unpack_from(
                         ">Q", buffer.data, buffer.position + 1
@@ -388,29 +388,10 @@ class GDStreamCompressor:
                     buffer.position += 9
                     finished = True
                     continue
-                # Collect every complete record currently buffered, then
-                # decode them as one batch.
-                records: List[GDRecord] = []
-                while True:
-                    if buffer.available < 1:
-                        break
-                    tag = buffer.data[buffer.position]
-                    if streamed and tag == _END_TAG:
-                        break
-                    if remaining is not None and remaining == 0:
-                        break
-                    size = codec.record_wire_size(tag)
-                    if buffer.available < 1 + size:
-                        break
-                    record, buffer.position = codec.parse_record(
-                        buffer.data, buffer.position
-                    )
-                    records.append(record)
-                    if remaining is not None:
-                        remaining -= 1
-                if not records:
-                    break
-                decoded = decoder.decode_batch_to_bytes(records)
+                buffer.position = position
+                if remaining is not None:
+                    remaining -= len(tags)
+                decoded = codec.decoder.decode_columns(tags, prefixes, keys, deviations)
                 combined = holdback + decoded
                 if len(combined) > chunk_size:
                     out = combined[:-chunk_size]

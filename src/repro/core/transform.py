@@ -580,7 +580,7 @@ class GDTransform:
                 )
                 for index in range(len(bases))
             )
-        parities = code.parities_of_bases(bases)
+        parities = code.parities_of_bases(bases, backend=self._backend)
         masks = self._error_masks
         m = code.m
         n = code.n

@@ -84,20 +84,20 @@ class TestCodecSnapshotResume:
         # Reference: one pair runs the whole trace uninterrupted.
         ref_encoder, ref_decoder = _pair(transform)
         ref_records = [ref_encoder.encode_chunk(chunk) for chunk in chunks]
-        ref_output = [ref_decoder.decode_record(record) for record in ref_records]
+        ref_output = [ref_decoder.decode([record]) for record in ref_records]
 
         # Interrupted: encode/decode up to the cut, snapshot both sides
         # through JSON, resume in freshly built objects.
         encoder_a, decoder_a = _pair(transform)
         records = [encoder_a.encode_chunk(chunk) for chunk in chunks[:cut]]
-        output = [decoder_a.decode_record(record) for record in records]
+        output = [decoder_a.decode([record]) for record in records]
         encoder_state = _json_roundtrip(encoder_a.snapshot_state())
         decoder_state = _json_roundtrip(decoder_a.snapshot_state())
         encoder_b, decoder_b = _pair(transform)
         encoder_b.restore_state(encoder_state)
         decoder_b.restore_state(decoder_state)
         records += [encoder_b.encode_chunk(chunk) for chunk in chunks[cut:]]
-        output += [decoder_b.decode_record(record) for record in records[cut:]]
+        output += [decoder_b.decode([record]) for record in records[cut:]]
 
         assert [r.to_bytes() for r in records] == [r.to_bytes() for r in ref_records]
         assert output == ref_output
@@ -121,14 +121,14 @@ class TestCodecSnapshotResume:
         chunks = _clustered_chunks(transform, 80, rng)
         encoder, decoder = _pair(transform)
         records = [encoder.encode_chunk(chunk) for chunk in chunks]
-        expected = [int.from_bytes(chunk, "big") for chunk in chunks]
+        expected = list(chunks)
 
         cut = rng.randrange(20, 60)
-        output = [decoder.decode_record(record) for record in records[:cut]]
+        output = [decoder.decode([record]) for record in records[:cut]]
         state = _json_roundtrip(decoder.snapshot_state())
         _, restarted = _pair(transform)  # fresh decoder: the restart
         restarted.restore_state(state)
-        output += [restarted.decode_record(record) for record in records[cut:]]
+        output += [restarted.decode([record]) for record in records[cut:]]
 
         assert output == expected
         assert restarted.stats.unknown_identifiers == 0

@@ -1,9 +1,9 @@
-"""Batch APIs: split_batch / encode_batch / decode_batch match the unit paths.
+"""Batch APIs: split_batch / encode / decode match the unit paths.
 
-The batch entry points exist purely for speed (amortized accounting and
-hoisted lookups); these tests pin down that they are observationally
-identical to the one-chunk-at-a-time paths — same records, same stats, same
-dictionary evolution, including the dynamic-learning activation delay.
+The codec runs whole buffers through one batched path per direction;
+these tests pin down that it is observationally identical to feeding one
+chunk (or record) at a time — same records, same stats, same dictionary
+evolution, including the dynamic-learning activation delay.
 """
 
 import random
@@ -74,31 +74,31 @@ class TestEncodeBatch:
         unit = _fresh_encoder(learning_delay_chunks=delay)
         batch = _fresh_encoder(learning_delay_chunks=delay)
         expected = [unit.encode_chunk(chunk) for chunk in chunks]
-        assert batch.encode_batch(chunks) == expected
+        assert batch.encode(b"".join(chunks)) == expected
         assert batch.stats.as_dict() == unit.stats.as_dict()
         assert batch.dictionary.snapshot() == unit.dictionary.snapshot()
 
-    def test_encode_buffer_matches_chunk_list(self):
-        chunks = clustered_chunks(120)
+    def test_encode_accepts_any_bytes_like(self):
+        data = b"".join(clustered_chunks(120))
         unit = _fresh_encoder()
         batch = _fresh_encoder()
-        expected = unit.encode_all(chunks)
-        assert batch.encode_buffer(b"".join(chunks)) == expected
+        expected = unit.encode(data)
+        assert batch.encode(memoryview(bytearray(data))) == expected
 
     def test_batches_compose_with_state(self):
         """Two consecutive batches equal one batch over the concatenation."""
         chunks = clustered_chunks(200)
         split_run = _fresh_encoder(learning_delay_chunks=3)
         whole_run = _fresh_encoder(learning_delay_chunks=3)
-        first = split_run.encode_batch(chunks[:90])
-        second = split_run.encode_batch(chunks[90:])
-        assert first + second == whole_run.encode_batch(chunks)
+        first = split_run.encode(b"".join(chunks[:90]))
+        second = split_run.encode(b"".join(chunks[90:]))
+        assert list(first) + list(second) == list(whole_run.encode(b"".join(chunks)))
         assert split_run.stats.as_dict() == whole_run.stats.as_dict()
 
     def test_no_table_mode(self):
         chunks = clustered_chunks(40)
         encoder = _fresh_encoder(mode=EncoderMode.NO_TABLE)
-        records = encoder.encode_batch(chunks)
+        records = encoder.encode(b"".join(chunks))
         assert len(records) == 40
         assert encoder.stats.compressed_records == 0
 
@@ -112,19 +112,19 @@ class TestDecodeBatch:
         transform = GDTransform(order=8)
         unit = GDDecoder(transform, BasisDictionary(1 << 15))
         batch = GDDecoder(transform, BasisDictionary(1 << 15))
-        expected = [unit.decode_record(record) for record in records]
-        assert batch.decode_batch(records) == expected
+        expected = b"".join(unit.decode([record]) for record in records)
+        assert batch.decode(records) == expected == b"".join(chunks)
         assert batch.stats.as_dict() == unit.stats.as_dict()
 
     def test_raw_records_pass_through(self):
         transform = GDTransform(order=8)
         decoder = GDDecoder(transform)
         records = [RawRecord(chunk=123, chunk_bits=256)]
-        assert decoder.decode_batch(records) == [123]
+        assert decoder.decode(records) == (123).to_bytes(32, "big")
         assert decoder.stats.raw_records == 1
         assert decoder.stats.output_bits == 256
 
-    def test_decode_batch_to_bytes_roundtrip(self):
+    def test_decompress_records_roundtrip(self):
         chunks = clustered_chunks(100)
         data = b"".join(chunks)
         codec = GDCodec(order=8, identifier_bits=15)

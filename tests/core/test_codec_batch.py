@@ -1,11 +1,12 @@
-"""Batched codec pipeline equivalence: EncodedBatch vs the per-record path.
+"""The one batched codec path against its oracles.
 
-`GDCodec.compress` returns a lazily materialised `EncodedBatch`; the
-container it serialises, the dictionary state it leaves behind and the
-stats it accumulates must all be byte-for-byte / field-for-field identical
-to the eager per-record path.  Likewise `decompress_container`'s columnar
-decode must return the same bytes — and the same decoder stats — as
-materialising every record.
+`GDCodec.compress` encodes a whole buffer at once into a columnar
+`EncodedBatch`.  Its records, stats and dictionary state must equal
+feeding the chunks one at a time through `GDEncoder.encode_chunk`, and its
+container must equal the one the bit-serial reference transform
+(``REPRO_GD_FAST=0``) produces.  On the way back, `parse_records` must
+invert the packer and `decode_columns` must match decoding the record
+objects.  Golden container digests live in ``test_golden_containers.py``.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from repro.core.codec import GDCodec
-from repro.core.encoder import EncodedBatch
+from repro.core.records import EncodedBatch, parse_records
 
 
 def clustered_data(codec, bases, count, rng):
@@ -44,47 +45,55 @@ def _sample(codec, count=120, seed=11):
     return clustered_data(codec, bases, count, rng)
 
 
-def _force_eager(codec, monkeypatch):
-    """Disable the batch encode so compress() takes the per-record path."""
-    monkeypatch.setattr(
-        codec.encoder, "encode_buffer_batch", lambda buffer: None
-    )
+def _chunk_at_a_time(codec, data):
+    """Encode ``data`` chunk by chunk through ``codec``'s encoder."""
+    size = codec.chunk_bytes
+    return [
+        codec.encoder.encode_chunk(data[offset : offset + size])
+        for offset in range(0, len(data), size)
+    ]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 class TestCompressBatchEquivalence:
-    def test_records_stats_and_container_match_eager_path(self, config, monkeypatch):
+    def test_records_stats_and_container_match_chunk_at_a_time(
+        self, config, monkeypatch
+    ):
         batch_codec = GDCodec(**CONFIGS[config])
-        eager_codec = GDCodec(**CONFIGS[config])
-        _force_eager(eager_codec, monkeypatch)
+        unit_codec = GDCodec(**CONFIGS[config])
         data = _sample(batch_codec)
 
         batch_result = batch_codec.compress(data)
-        eager_result = eager_codec.compress(data)
-
         assert isinstance(batch_result.records, EncodedBatch)
-        assert not isinstance(eager_result.records, EncodedBatch)
-        assert list(batch_result.records) == list(eager_result.records)
-        assert batch_result.records == tuple(eager_result.records)
-        assert batch_codec.encoder.stats.as_dict() == eager_codec.encoder.stats.as_dict()
+        assert batch_result.records == _chunk_at_a_time(unit_codec, data)
+        assert batch_codec.encoder.stats.as_dict() == unit_codec.encoder.stats.as_dict()
+        if batch_codec.encoder.dictionary is not None:
+            assert (
+                batch_codec.encoder.dictionary.snapshot()
+                == unit_codec.encoder.dictionary.snapshot()
+            )
+
+        monkeypatch.setenv("REPRO_GD_FAST", "0")
+        oracle = GDCodec(**CONFIGS[config])
+        assert not oracle.transform.fast
+        oracle_result = oracle.compress(data)
         assert dataclasses.replace(batch_result, records=()) == dataclasses.replace(
-            eager_result, records=()
+            oracle_result, records=()
         )
-        assert batch_codec.to_container(batch_result) == eager_codec.to_container(
-            eager_result
+        assert batch_codec.to_container(batch_result) == oracle.to_container(
+            oracle_result
         )
 
-    def test_batches_compose_with_dictionary_state(self, config, monkeypatch):
+    def test_batches_compose_with_dictionary_state(self, config):
         """Back-to-back compress calls see the dictionary the previous batch
-        left behind, exactly like the per-record path."""
+        left behind, exactly like chunk-at-a-time encoding."""
         batch_codec = GDCodec(**CONFIGS[config])
-        eager_codec = GDCodec(**CONFIGS[config])
-        _force_eager(eager_codec, monkeypatch)
+        unit_codec = GDCodec(**CONFIGS[config])
         rng = random.Random(3)
         for count in (40, 40, 40):
             data = _sample(batch_codec, count=count, seed=rng.randrange(1 << 30))
-            assert list(batch_codec.compress(data).records) == list(
-                eager_codec.compress(data).records
+            assert batch_codec.compress(data).records == _chunk_at_a_time(
+                unit_codec, data
             )
 
     def test_container_roundtrip(self, config, monkeypatch):
@@ -95,36 +104,17 @@ class TestCompressBatchEquivalence:
 
 
 class TestColumnarDecompress:
-    def test_matches_record_path_bytes_and_stats(self, monkeypatch):
-        codec = GDCodec()
+    def test_parser_inverts_packer(self):
+        codec = GDCodec(alignment_padding_bits=8)
         data = _sample(codec, count=200)
-        blob = codec.to_container(codec.compress(data))
-
-        columnar_codec = codec.clone()
-        record_codec = codec.clone()
-        # Starve the record path of the columnar shortcut so it exercises
-        # parse_record + decode_to_bytes.
-        monkeypatch.setattr(
-            type(record_codec),
-            "_decompress_container_columns",
-            lambda self, blob, offset, count, original_bytes: (_ for _ in ()).throw(
-                AssertionError("columnar path should be disabled")
-            ),
-            raising=True,
+        records = codec.compress(data).records
+        body = records.pack()
+        tags, prefixes, keys, deviations, end = parse_records(
+            body, 0, len(body), codec.encoder.record_format
         )
-
-        def forced_records(self, blob, offset, count, original_bytes):
-            records = []
-            for _ in range(count):
-                record, offset = self.parse_record(blob, offset)
-                records.append(record)
-            return self.decompress_records(records, original_bytes=original_bytes)
-
-        monkeypatch.setattr(
-            type(record_codec), "_decompress_container_columns", forced_records
-        )
-        assert columnar_codec.decompress_container(blob) == data
-        assert record_codec.decompress_container(blob) == data
+        assert (tags, prefixes, keys, deviations) == records.columns()
+        assert end == len(body)
+        assert codec.decompress_container(codec.compress_to_container(data)) == data
 
     def test_decode_columns_matches_record_path_bytes_and_stats(self):
         codec = GDCodec()
@@ -133,7 +123,7 @@ class TestColumnarDecompress:
         assert any(record.record_type == 3 for record in records)
 
         record_codec = codec.clone()
-        record_bytes = record_codec.decoder.decode_to_bytes(records)
+        record_bytes = record_codec.decoder.decode(records)
 
         tags = bytearray()
         prefixes, keys, deviations = [], [], []
@@ -145,10 +135,10 @@ class TestColumnarDecompress:
             )
             deviations.append(record.deviation)
         columnar_codec = codec.clone()
-        columnar_bytes = columnar_codec.decoder.decode_columns_to_bytes(
+        columnar_bytes = columnar_codec.decoder.decode_columns(
             bytes(tags), prefixes, keys, deviations
         )
-        assert columnar_bytes == record_bytes
+        assert columnar_bytes == record_bytes == data
         assert (
             columnar_codec.decoder.stats.as_dict()
             == record_codec.decoder.stats.as_dict()
@@ -161,13 +151,14 @@ class TestColumnarDecompress:
 
 
 class TestEncodedBatchContainer:
-    def test_pack_stream_matches_per_record_serialisation(self):
-        codec = GDCodec()
+    def test_pack_matches_per_record_serialisation(self):
+        codec = GDCodec(alignment_padding_bits=8)
         data = _sample(codec, count=90)
-        result = codec.compress(data)
-        assert isinstance(result.records, EncodedBatch)
-        eager = dataclasses.replace(result, records=tuple(result.records))
-        assert codec.to_container(result) == codec.to_container(eager)
+        records = codec.compress(data).records
+        assert isinstance(records, EncodedBatch)
+        assert records.pack() == b"".join(
+            bytes([int(record.record_type)]) + record.to_bytes() for record in records
+        )
 
     def test_sequence_protocol(self):
         codec = GDCodec()

@@ -18,7 +18,7 @@ def transform():
 def encoded_stream(transform, chunks):
     """Encode chunks with a fresh dynamic encoder, returning the records."""
     encoder = GDEncoder(transform, BasisDictionary(64), mode="dynamic")
-    return encoder.encode_all(chunks)
+    return encoder.encode(b"".join(chunks))
 
 
 class TestDecodeRecords:
@@ -35,12 +35,12 @@ class TestDecodeRecords:
                 basis_bits=parts.basis_bits,
                 deviation_bits=parts.deviation_bits,
             )
-            assert decoder.decode_record_to_bytes(record) == chunk
+            assert decoder.decode([record]) == chunk
 
     def test_raw_record_passthrough(self, transform):
         decoder = GDDecoder(transform)
         record = RawRecord(chunk=0x1234, chunk_bits=16)
-        assert decoder.decode_record(record) == 0x1234
+        assert decoder.decode([record]) == b"\x12\x34"
         assert decoder.stats.raw_records == 1
 
     def test_compressed_requires_dictionary(self, transform):
@@ -50,7 +50,7 @@ class TestDecodeRecords:
             prefix_bits=1, identifier_bits=6, deviation_bits=4,
         )
         with pytest.raises(DictionaryError):
-            decoder.decode_record(record)
+            decoder.decode([record])
 
     def test_unknown_identifier_raises_and_counts(self, transform):
         decoder = GDDecoder(transform, BasisDictionary(64))
@@ -59,13 +59,13 @@ class TestDecodeRecords:
             prefix_bits=1, identifier_bits=6, deviation_bits=4,
         )
         with pytest.raises(DictionaryError):
-            decoder.decode_record(record)
+            decoder.decode([record])
         assert decoder.stats.unknown_identifiers == 1
 
     def test_unsupported_record_type(self, transform):
         decoder = GDDecoder(transform)
         with pytest.raises(CodingError):
-            decoder.decode_record("not a record")
+            decoder.decode(["not a record"])
 
     def test_width_mismatch_rejected(self, transform):
         other = GDTransform(order=3)
@@ -80,7 +80,7 @@ class TestDecodeRecords:
             deviation_bits=parts.deviation_bits,
         )
         with pytest.raises(CodingError):
-            decoder.decode_record(record)
+            decoder.decode([record])
 
 
 class TestEncoderDecoderPairing:
@@ -94,19 +94,15 @@ class TestEncoderDecoderPairing:
             chunks.append(body.to_bytes(2, "big"))
         records = encoded_stream(transform, chunks)
         decoder = GDDecoder(transform, BasisDictionary(64))
-        restored = [
-            value.to_bytes(transform.chunk_bytes, "big")
-            for value in decoder.decode_all(records)
-        ]
-        assert restored == chunks
+        assert decoder.decode(records) == b"".join(chunks)
         assert decoder.stats.records == 200
         assert decoder.stats.compressed_records > 0
 
-    def test_decode_to_bytes_concatenates(self, transform):
+    def test_decode_concatenates(self, transform):
         chunks = [b"\x12\x34", b"\x12\x34", b"\x56\x78"]
         records = encoded_stream(transform, chunks)
         decoder = GDDecoder(transform, BasisDictionary(64))
-        assert decoder.decode_to_bytes(records) == b"".join(chunks)
+        assert decoder.decode(records) == b"".join(chunks)
 
     def test_shared_dictionary_zero_latency_model(self, transform):
         # Encoder and decoder sharing one dictionary models the original
@@ -115,8 +111,8 @@ class TestEncoderDecoderPairing:
         encoder = GDEncoder(transform, shared, mode="dynamic")
         decoder = GDDecoder(transform, shared, learn_from_uncompressed=False)
         chunks = [b"\xAA\x55"] * 4
-        records = encoder.encode_all(chunks)
-        assert decoder.decode_to_bytes(records) == b"".join(chunks)
+        records = encoder.encode(b"".join(chunks))
+        assert decoder.decode(records) == b"".join(chunks)
 
     def test_eviction_stays_consistent_between_sides(self, transform, rng):
         # A tiny dictionary forces evictions; decoder recency tracking must
@@ -130,16 +126,13 @@ class TestEncoderDecoderPairing:
             chunks.append(codeword.to_bytes(2, "big"))
         encoder = GDEncoder(transform, BasisDictionary(4), mode="dynamic")
         decoder = GDDecoder(transform, BasisDictionary(4))
-        records = encoder.encode_all(chunks)
-        restored = [
-            value.to_bytes(2, "big") for value in decoder.decode_all(records)
-        ]
-        assert restored == chunks
+        records = encoder.encode(b"".join(chunks))
+        assert decoder.decode(records) == b"".join(chunks)
         assert encoder.dictionary.stats.evictions > 0
 
     def test_stats_reset(self, transform):
         decoder = GDDecoder(transform, BasisDictionary(8))
         records = encoded_stream(transform, [b"\x01\x02"])
-        decoder.decode_all(records)
+        decoder.decode(records)
         decoder.reset_stats()
         assert decoder.stats.records == 0

@@ -138,8 +138,8 @@ class TestCodecEquivalence:
             alignment_padding_bits=0,
         )
         fast_result = fast_codec.compress(data)
-        reference_records = reference_encoder.encode_buffer(data)
-        assert list(fast_result.records) == reference_records
+        reference_records = reference_encoder.encode(data)
+        assert fast_result.records == reference_records
         assert (
             fast_codec.encoder.stats.as_dict() == reference_encoder.stats.as_dict()
         )
@@ -153,9 +153,9 @@ class TestCodecEquivalence:
             BasisDictionary(1 << 6) if mode != "no_table" else None,
         )
         fast_decoder_codec = fast_codec.clone()
-        fast_chunks = fast_decoder_codec.decoder.decode_batch(fast_result.records)
-        reference_chunks = reference_decoder.decode_batch(fast_result.records)
-        assert fast_chunks == reference_chunks
+        fast_bytes = fast_decoder_codec.decoder.decode(fast_result.records)
+        reference_bytes = reference_decoder.decode(list(fast_result.records))
+        assert fast_bytes == reference_bytes == data
         assert (
             fast_decoder_codec.decoder.stats.as_dict()
             == reference_decoder.stats.as_dict()
@@ -202,7 +202,7 @@ class TestCodecEquivalence:
 
 
 class TestBatchApiEquivalence:
-    def test_encode_chunks_buffer_equals_chunk_at_a_time(self):
+    def test_encode_buffer_equals_chunk_at_a_time(self):
         transform = GDTransform(order=8)
         data = _random_buffer(transform, 80, random.Random(17), clustered=True)
         size = transform.chunk_bytes
@@ -213,30 +213,21 @@ class TestBatchApiEquivalence:
         single_encoder = GDEncoder(
             GDTransform(order=8), BasisDictionary(64), identifier_bits=6
         )
-        batch_records = batch_encoder.encode_chunks(data)
+        batch_records = batch_encoder.encode(data)
         single_records = [
             single_encoder.encode_chunk(data[offset : offset + size])
             for offset in range(0, len(data), size)
         ]
         assert batch_records == single_records
         assert batch_encoder.stats.as_dict() == single_encoder.stats.as_dict()
-
-        # iterable-of-chunks form of encode_chunks
-        iterable_encoder = GDEncoder(
-            GDTransform(order=8), BasisDictionary(64), identifier_bits=6
-        )
-        pieces = [data[offset : offset + size] for offset in range(0, len(data), size)]
-        assert iterable_encoder.encode_chunks(pieces) == batch_records
+        assert batch_encoder.dictionary.snapshot() == single_encoder.dictionary.snapshot()
 
         batch_decoder = GDDecoder(GDTransform(order=8), BasisDictionary(64))
         single_decoder = GDDecoder(GDTransform(order=8), BasisDictionary(64))
-        batch_chunks = batch_decoder.decode_batch(batch_records)
-        single_chunks = [single_decoder.decode_record(r) for r in batch_records]
-        assert batch_chunks == single_chunks
+        batch_bytes = batch_decoder.decode(batch_records)
+        single_bytes = b"".join(single_decoder.decode([r]) for r in single_records)
+        assert batch_bytes == single_bytes == data
         assert batch_decoder.stats.as_dict() == single_decoder.stats.as_dict()
-        assert b"".join(
-            chunk.to_bytes(size, "big") for chunk in batch_chunks
-        ) == data
 
 
 class TestDictionaryHotCache:

@@ -512,7 +512,7 @@ class TestBenchCommand:
         ) == 0
         output = capsys.readouterr().out
         assert "=== crc-batch: compute_batch" in output
-        assert "=== encode-batch: compress + pack_stream" in output
+        assert "=== encode-batch: compress + EncodedBatch.pack" in output
         assert "=== decode-batch: columnar decompress_container" in output
 
     def test_profile_batch_stages_honor_backend_pin(self, capsys):
